@@ -213,13 +213,18 @@ impl IipPlatform {
         Ok((campaign_id, tag))
     }
 
-    /// Offers currently visible to a user browsing from `country`.
-    pub fn offers_for(&self, country: Country) -> Vec<Offer> {
+    /// One wall page: the `[skip, skip + take)` window of the offers
+    /// visible to a user browsing from `country`, in offer-id order.
+    /// Only the window is cloned, so a page costs O(take) allocations
+    /// however many offers the platform has published.
+    pub fn offers_window(&self, country: Country, skip: usize, take: usize) -> Vec<Offer> {
         self.inner
             .lock()
             .offers
             .values()
             .filter(|o| o.targets(country))
+            .skip(skip)
+            .take(take)
             .cloned()
             .collect()
     }
@@ -373,7 +378,7 @@ mod tests {
         assert_eq!(tag, "fyber-c1");
         let c = p.campaign(id).unwrap();
         assert_eq!(c.completions, 0);
-        let offers = p.offers_for(Country::Us);
+        let offers = p.offers_window(Country::Us, 0, usize::MAX);
         assert_eq!(offers.len(), 1);
         assert_eq!(offers[0].payout, Usd::from_cents(6));
         assert!(!offers[0].description.is_empty());
@@ -417,7 +422,10 @@ mod tests {
             .is_none());
         let c = p.campaign(id).unwrap();
         assert_eq!(c.completions, 3);
-        assert!(p.offers_for(Country::Us).is_empty(), "offer left the wall");
+        assert!(
+            p.offers_window(Country::Us, 0, usize::MAX).is_empty(),
+            "offer left the wall"
+        );
         let s = p.settlement();
         assert_eq!(s.completions, 3);
         assert_eq!(s.gross(), Usd::from_cents(30));
@@ -471,7 +479,7 @@ mod tests {
         assert_eq!(refund, Usd::from_cents(990));
         // Ending again refunds nothing.
         assert_eq!(p.end_campaign(id).unwrap(), Usd::ZERO);
-        assert!(p.offers_for(Country::Us).is_empty());
+        assert!(p.offers_window(Country::Us, 0, usize::MAX).is_empty());
     }
 
     #[test]
@@ -481,8 +489,8 @@ mod tests {
         let mut s = spec(dev, 10, 10);
         s.countries = vec![Country::De, Country::Us];
         p.create_campaign(s, SimTime::EPOCH).unwrap();
-        assert_eq!(p.offers_for(Country::De).len(), 1);
-        assert_eq!(p.offers_for(Country::In).len(), 0);
+        assert_eq!(p.offers_window(Country::De, 0, usize::MAX).len(), 1);
+        assert_eq!(p.offers_window(Country::In, 0, usize::MAX).len(), 0);
     }
 
     #[test]

@@ -13,13 +13,18 @@
 //! Rewards shown on a wall are the *user share* (after the IIP and
 //! affiliate cuts), in the requesting affiliate's point currency —
 //! affiliates register their `points_per_dollar` rate with the IIP.
+//!
+//! A page costs O(page): the platform clones only the requested
+//! window of offers, and the dialect writer appends each entry straight
+//! into the response body, with no intermediate `Json` tree.
 
 use crate::economics::PayoutSplit;
 use crate::offer::Offer;
 use crate::platform::IipPlatform;
 use iiscope_types::{IipId, Usd};
 use iiscope_wire::http::RequestCtx;
-use iiscope_wire::{Handler, Json, Request, Response};
+use iiscope_wire::json::{push_f64, push_i64, push_string};
+use iiscope_wire::{Handler, Request, Response};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -61,13 +66,227 @@ impl OfferWallHandler {
         ((usd.micros() as f64 / 1e6) * points_per_dollar as f64).round() as i64
     }
 
-    fn render_wall(&self, offers: &[Offer], points_per_dollar: u64) -> Json {
+    /// Writes one page in this platform's dialect straight into the
+    /// response body. The text equals the compact serialization of the
+    /// equivalent `Json` tree: every object lists its keys in sorted
+    /// order, the order the tree's `BTreeMap` objects serialize in.
+    fn render_page(&self, offers: &[Offer], points_per_dollar: u64) -> String {
         let iip = self.platform.id();
+        let mut body = String::with_capacity(64 + 256 * offers.len());
+        match iip {
+            IipId::Fyber => {
+                body.push_str("{\"ofw\":{\"count\":");
+                push_i64(&mut body, offers.len() as i64);
+                body.push_str(",\"offers\":[");
+            }
+            IipId::OfferToro => body.push_str("{\"response\":{\"offers\":["),
+            IipId::AdscendMedia => body.push_str("{\"adscend\":{\"entries\":["),
+            IipId::HangMyAds => body.push_str("{\"result\":["),
+            IipId::AdGem => body.push_str("{\"data\":{\"wall\":["),
+            IipId::AyetStudios => body.push_str("{\"offers\":["),
+            IipId::RankApp => body.push('['),
+        }
+        for (i, o) in offers.iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            let usd = self.user_share(o);
+            let pts = Val::Int(self.points(usd, points_per_dollar));
+            let id = Val::Int(o.id.raw() as i64);
+            let desc = Val::Str(&o.description);
+            let pkg = Val::Str(o.package.as_str());
+            let url = Val::Str(&o.store_url);
+            match iip {
+                IipId::Fyber => push_object(
+                    &mut body,
+                    &[
+                        ("offer_id", id),
+                        ("package", pkg),
+                        ("payout_usd", Val::Float(usd.dollars_f64())),
+                        ("play_url", url),
+                        ("title", desc),
+                    ],
+                ),
+                IipId::OfferToro => push_object(
+                    &mut body,
+                    &[
+                        ("amount", pts),
+                        ("id", id),
+                        ("link", url),
+                        ("offer_desc", desc),
+                        ("package_name", pkg),
+                    ],
+                ),
+                IipId::AdscendMedia => push_object(
+                    &mut body,
+                    &[
+                        ("app", Val::Object(&[("bundle", pkg), ("market_url", url)])),
+                        ("currency_count", pts),
+                        ("description", desc),
+                        ("uid", id),
+                    ],
+                ),
+                IipId::HangMyAds => push_object(
+                    &mut body,
+                    &[
+                        ("pkg", pkg),
+                        ("points", pts),
+                        ("task", desc),
+                        ("tid", id),
+                        ("url", url),
+                    ],
+                ),
+                IipId::AdGem => push_object(
+                    &mut body,
+                    &[
+                        ("bundle_id", pkg),
+                        ("id", id),
+                        ("reward", Val::Object(&[("points", pts)])),
+                        ("store_link", url),
+                        ("text", desc),
+                    ],
+                ),
+                IipId::AyetStudios => push_object(
+                    &mut body,
+                    &[
+                        ("name", desc),
+                        ("offer_key", id),
+                        ("package_id", pkg),
+                        ("payout", pts),
+                        ("tracking_link", url),
+                    ],
+                ),
+                IipId::RankApp => push_object(
+                    &mut body,
+                    &[
+                        ("app", pkg),
+                        ("gp_link", url),
+                        // RankApp quotes the user reward in cents.
+                        ("price_cents", Val::Int((usd.micros() / 10_000).max(0))),
+                        ("rid", id),
+                        ("task", desc),
+                    ],
+                ),
+            }
+        }
+        body.push_str(match iip {
+            IipId::Fyber | IipId::OfferToro | IipId::AdscendMedia | IipId::AdGem => "]}}",
+            IipId::HangMyAds => "]}",
+            IipId::AyetStudios => "],\"status\":\"ok\"}",
+            IipId::RankApp => "]",
+        });
+        body
+    }
+}
+
+/// A value in a wall entry.
+#[derive(Clone, Copy)]
+enum Val<'a> {
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    /// A nested object, keys in sorted order.
+    Object(&'a [(&'a str, Val<'a>)]),
+}
+
+/// Appends an object whose `fields` list their keys in sorted order.
+/// Keys are plain ASCII identifiers, so they need no escaping.
+fn push_object(out: &mut String, fields: &[(&str, Val)]) {
+    debug_assert!(fields.windows(2).all(|w| w[0].0 < w[1].0), "keys unsorted");
+    out.push('{');
+    for (i, &(key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        match value {
+            Val::Int(v) => push_i64(out, v),
+            Val::Float(v) => push_f64(out, v),
+            Val::Str(v) => push_string(out, v),
+            Val::Object(inner) => push_object(out, inner),
+        }
+    }
+    out.push('}');
+}
+
+/// The wall's single route. Socket-server front-ends that multiplex
+/// all walls behind one listener rewrite `/wall/<slug>/offers` to this
+/// before dispatching.
+pub const OFFERS_PATH: &str = "/offers";
+
+impl Handler for OfferWallHandler {
+    fn handle(&self, req: &Request, ctx: &RequestCtx) -> Response {
+        if req.path() != OFFERS_PATH {
+            return Response::not_found();
+        }
+        let Some(affiliate) = req.query_param("affiliate") else {
+            return Response::status(400);
+        };
+        let Some(points_per_dollar) = self.affiliates.lock().get(&affiliate).copied() else {
+            return Response::status(403);
+        };
+        // Geo targeting uses the *connection's* country: the paper's
+        // milkers change vantage points via VPN proxies precisely
+        // because walls geo-filter on source address.
+        let country = ctx.peer.addr.country;
+        // Pagination: walls return one page per request; the UI fuzzer
+        // must scroll to load more (the coverage mechanic of §4.1).
+        // Two addressing schemes window the same id-ordered offer list:
+        // `cursor=N&limit=M` slices offers [N, N+M); the legacy
+        // `page=P` (fixed PAGE_SIZE rows) remains the default so
+        // parameterless requests stay byte-identical. Query values are
+        // outside input: a window starting past the end, however far,
+        // is an empty page.
+        let param =
+            |name: &str| -> Option<usize> { req.query_param(name).and_then(|v| v.parse().ok()) };
+        let cursor_mode = req.query_param("cursor").is_some() || req.query_param("limit").is_some();
+        let (skip, take) = if cursor_mode {
+            let limit = param("limit").unwrap_or(PAGE_SIZE).min(CURSOR_MAX_LIMIT);
+            (param("cursor").unwrap_or(0), limit)
+        } else {
+            let page = param("page").unwrap_or(0);
+            (page.saturating_mul(PAGE_SIZE), PAGE_SIZE)
+        };
+        let offers = self.platform.offers_window(country, skip, take);
+        Response::ok_bytes(
+            self.render_page(&offers, points_per_dollar),
+            "application/json",
+        )
+    }
+}
+
+/// Number of offers per wall page (public for the fuzzer's tests).
+pub const PAGE_SIZE: usize = 10;
+
+/// Largest `limit` a cursor-mode request can ask for — bounds one
+/// response's render cost regardless of query-string input.
+pub const CURSOR_MAX_LIMIT: usize = 100;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::offer::OfferStatus;
+    use crate::platform::CampaignSpec;
+    use crate::vetting::DeveloperApplication;
+    use iiscope_attribution::ConversionGoal;
+    use iiscope_netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
+    use iiscope_types::{
+        CampaignId, Country, DeveloperId, OfferId, PackageName, SeedFork, SimTime,
+    };
+    use iiscope_wire::Json;
+    use proptest::prelude::*;
+
+    /// Each dialect as a `Json` tree: the byte-identity oracle for
+    /// `render_page`.
+    fn render_tree(wall: &OfferWallHandler, offers: &[Offer], points_per_dollar: u64) -> Json {
+        let iip = wall.platform.id();
         let entries: Vec<Json> = offers
             .iter()
             .map(|o| {
-                let usd = self.user_share(o);
-                let pts = self.points(usd, points_per_dollar);
+                let usd = wall.user_share(o);
+                let pts = wall.points(usd, points_per_dollar);
                 match iip {
                     IipId::Fyber => Json::obj([
                         ("offer_id", Json::Int(o.id.raw() as i64)),
@@ -118,7 +337,6 @@ impl OfferWallHandler {
                     ]),
                     IipId::RankApp => Json::obj([
                         ("task", Json::str(&o.description)),
-                        // RankApp quotes the user reward in cents.
                         ("price_cents", Json::Int((usd.micros() / 10_000).max(0))),
                         ("gp_link", Json::str(&o.store_url)),
                         ("app", Json::str(o.package.as_str())),
@@ -127,14 +345,11 @@ impl OfferWallHandler {
                 }
             })
             .collect();
-
+        let count = Json::Int(entries.len() as i64);
         match iip {
             IipId::Fyber => Json::obj([(
                 "ofw",
-                Json::obj([
-                    ("offers", Json::Array(entries.clone())),
-                    ("count", Json::Int(entries.len() as i64)),
-                ]),
+                Json::obj([("offers", Json::Array(entries)), ("count", count)]),
             )]),
             IipId::OfferToro => {
                 Json::obj([("response", Json::obj([("offers", Json::Array(entries))]))])
@@ -151,78 +366,60 @@ impl OfferWallHandler {
             IipId::RankApp => Json::Array(entries),
         }
     }
-}
 
-/// The wall's single route. Socket-server front-ends that multiplex
-/// all walls behind one listener rewrite `/wall/<slug>/offers` to this
-/// before dispatching.
-pub const OFFERS_PATH: &str = "/offers";
-
-impl Handler for OfferWallHandler {
-    fn handle(&self, req: &Request, ctx: &RequestCtx) -> Response {
-        if req.path() != OFFERS_PATH {
-            return Response::not_found();
+    /// An active offer with the given wall-visible fields.
+    fn offer(iip: IipId, id: u64, description: String, package: &str, micros: i64) -> Offer {
+        Offer {
+            id: OfferId(id),
+            campaign: CampaignId(id),
+            iip,
+            package: PackageName::new(package).unwrap(),
+            store_url: format!("https://play.iiscope/store/apps/details?id={package}"),
+            description,
+            payout: Usd::from_micros(micros),
+            goal: ConversionGoal::InstallAndOpen,
+            countries: vec![],
+            created: SimTime::EPOCH,
+            cap: 1,
+            completed: 0,
+            status: OfferStatus::Active,
         }
-        let Some(affiliate) = req.query_param("affiliate") else {
-            return Response::status(400);
-        };
-        let Some(points_per_dollar) = self.affiliates.lock().get(&affiliate).copied() else {
-            return Response::status(403);
-        };
-        // Geo targeting uses the *connection's* country: the paper's
-        // milkers change vantage points via VPN proxies precisely
-        // because walls geo-filter on source address.
-        let country = ctx.peer.addr.country;
-        let mut offers = self.platform.offers_for(country);
-        offers.sort_by_key(|o| o.id);
-        // Pagination: walls return one page per request; the UI fuzzer
-        // must scroll to load more (the coverage mechanic of §4.1).
-        // Two addressing schemes share the sorted offer list:
-        // `cursor=N&limit=M` slices offers [N, N+M); the legacy
-        // `page=P` (fixed PAGE_SIZE rows) remains the default so
-        // parameterless requests stay byte-identical.
-        let cursor_mode = req.query_param("cursor").is_some() || req.query_param("limit").is_some();
-        let page_items: Vec<Offer> = if cursor_mode {
-            let cursor: usize = req
-                .query_param("cursor")
-                .and_then(|c| c.parse().ok())
-                .unwrap_or(0);
-            let limit: usize = req
-                .query_param("limit")
-                .and_then(|l| l.parse().ok())
-                .unwrap_or(PAGE_SIZE)
-                .min(CURSOR_MAX_LIMIT);
-            offers.into_iter().skip(cursor).take(limit).collect()
-        } else {
-            let page: usize = req
-                .query_param("page")
-                .and_then(|p| p.parse().ok())
-                .unwrap_or(0);
-            offers
-                .into_iter()
-                .skip(page * PAGE_SIZE)
-                .take(PAGE_SIZE)
-                .collect()
-        };
-        Response::ok_json(&self.render_wall(&page_items, points_per_dollar))
     }
-}
 
-/// Number of offers per wall page (public for the fuzzer's tests).
-pub const PAGE_SIZE: usize = 10;
-
-/// Largest `limit` a cursor-mode request can ask for — bounds one
-/// response's render cost regardless of query-string input.
-pub const CURSOR_MAX_LIMIT: usize = 100;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::platform::CampaignSpec;
-    use crate::vetting::DeveloperApplication;
-    use iiscope_attribution::ConversionGoal;
-    use iiscope_netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
-    use iiscope_types::{Country, DeveloperId, PackageName, SeedFork, SimTime};
+    proptest! {
+        /// Every dialect's direct writer is byte-identical to the tree
+        /// oracle: escapes (quotes, backslashes, control characters,
+        /// multibyte UTF-8), whole-dollar payouts (Fyber's `.0`) and
+        /// empty pages.
+        #[test]
+        fn direct_writer_matches_tree_oracle(
+            iip_idx in 0usize..IipId::ALL.len(),
+            entries in prop::collection::vec(
+                (
+                    any::<u64>(),
+                    "[a-zA-Z0-9 \"\\\\/\u{0}-\u{1f}\u{7f}\u{e9}\u{20ac}\u{1f600}]{0,24}",
+                    "[a-z]{1,8}",
+                    prop_oneof![
+                        1i64..1_000_000_000,
+                        // Multiples of $40: whole-dollar Fyber user shares.
+                        (1i64..500).prop_map(|d| d * 40_000_000),
+                    ],
+                ),
+                0..12,
+            ),
+            points_per_dollar in 1u64..100_000,
+        ) {
+            let iip = IipId::ALL[iip_idx];
+            let wall = OfferWallHandler::new(Arc::new(IipPlatform::new(iip, SeedFork::new(1))));
+            let offers: Vec<Offer> = entries
+                .into_iter()
+                .map(|(id, desc, pkg, micros)| offer(iip, id, desc, &format!("com.{pkg}"), micros))
+                .collect();
+            let direct = wall.render_page(&offers, points_per_dollar);
+            let tree = render_tree(&wall, &offers, points_per_dollar).to_string();
+            prop_assert_eq!(direct, tree, "{}", iip);
+        }
+    }
 
     fn rig(iip: IipId) -> (Arc<IipPlatform>, OfferWallHandler) {
         let p = Arc::new(IipPlatform::new(iip, SeedFork::new(11)));
@@ -410,6 +607,10 @@ mod tests {
         assert_eq!(fetch(1), 10);
         assert_eq!(fetch(2), 3);
         assert_eq!(fetch(3), 0);
+        // A page index whose window start overflows `usize` is still
+        // past the end: an empty page, never a wrapped-around window.
+        assert_eq!(fetch(1844674407370955162), 0);
+        assert_eq!(fetch(usize::MAX), 0);
     }
 
     #[test]
@@ -447,6 +648,96 @@ mod tests {
         assert_eq!(fetch("&cursor=0&limit=9999").len(), 23);
         // Unparsable values fall back silently, like `page` does.
         assert_eq!(fetch("&cursor=x&limit=y"), all[..PAGE_SIZE].to_vec());
+        // Overflowing window starts get an empty page, not a wrapped one.
+        assert_eq!(fetch("&page=1844674407370955162"), Vec::<i64>::new());
+        assert_eq!(fetch(&format!("&cursor={}", usize::MAX)), Vec::<i64>::new());
+    }
+
+    /// Wall pages against a filter-and-slice oracle over
+    /// `all_offers()`: ended offers, geo-targeted offers seen from a
+    /// matching and a non-matching vantage, windows past the end,
+    /// `limit=0` and the `CURSOR_MAX_LIMIT` clamp.
+    #[test]
+    fn page_windows_match_filter_and_slice_oracle() {
+        let (p, wall) = rig(IipId::Fyber);
+        for i in 0..280u64 {
+            let (campaign, _) = p
+                .create_campaign(
+                    CampaignSpec {
+                        developer: DeveloperId(1),
+                        package: PackageName::new(format!("com.adv.app{i}")).unwrap(),
+                        store_url: format!("https://play.iiscope/store/apps/details?id={i}"),
+                        goal: ConversionGoal::InstallAndOpen,
+                        payout: Usd::from_cents(10),
+                        cap: 100,
+                        countries: match i % 4 {
+                            0 => vec![Country::De],
+                            1 => vec![Country::De, Country::In],
+                            _ => vec![],
+                        },
+                    },
+                    SimTime::EPOCH,
+                )
+                .unwrap();
+            if i % 7 == 3 {
+                p.end_campaign(campaign).unwrap();
+            }
+        }
+        let all = p.all_offers();
+        assert!(all.iter().any(|o| o.status == OfferStatus::Ended));
+        // De sees every geo-targeted offer, In half of them, Us none.
+        for country in [Country::De, Country::In, Country::Us] {
+            let oracle = |skip: usize, take: usize| -> Vec<i64> {
+                all.iter()
+                    .filter(|o| o.targets(country))
+                    .skip(skip)
+                    .take(take)
+                    .map(|o| o.id.raw() as i64)
+                    .collect()
+            };
+            let visible = oracle(0, usize::MAX).len();
+            assert!(visible > CURSOR_MAX_LIMIT, "{country:?}: {visible}");
+            let fetch = |query: String| -> Vec<i64> {
+                let resp = wall.handle(
+                    &Request::get(format!("/offers?affiliate=com.cash.app{query}")),
+                    &ctx(country),
+                );
+                assert_eq!(resp.status, 200);
+                let body = resp.body_json().unwrap();
+                let offers = body.get("ofw").unwrap().get("offers").unwrap();
+                offers
+                    .as_array()
+                    .unwrap()
+                    .iter()
+                    .map(|o| o.get("offer_id").and_then(Json::as_i64).unwrap())
+                    .collect()
+            };
+            for cursor in [0, 1, 9, 55, visible - 3, visible, visible + 40, usize::MAX] {
+                for limit in [0, 1, 10, 37, CURSOR_MAX_LIMIT, CURSOR_MAX_LIMIT + 1, 9_999] {
+                    assert_eq!(
+                        fetch(format!("&cursor={cursor}&limit={limit}")),
+                        oracle(cursor, limit.min(CURSOR_MAX_LIMIT)),
+                        "{country:?} cursor={cursor} limit={limit}"
+                    );
+                }
+            }
+            for page in 0..=visible / PAGE_SIZE + 1 {
+                assert_eq!(
+                    fetch(format!("&page={page}")),
+                    oracle(page * PAGE_SIZE, PAGE_SIZE),
+                    "{country:?} page={page}"
+                );
+            }
+            // The platform query itself, unclamped.
+            for (skip, take) in [(0, usize::MAX), (visible - 1, 5), (usize::MAX, usize::MAX)] {
+                let window: Vec<i64> = p
+                    .offers_window(country, skip, take)
+                    .iter()
+                    .map(|o| o.id.raw() as i64)
+                    .collect();
+                assert_eq!(window, oracle(skip, take), "{country:?} {skip}+{take}");
+            }
+        }
     }
 
     #[test]

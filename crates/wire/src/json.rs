@@ -27,7 +27,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use iiscope_types::wirestats;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,10 +196,9 @@ impl Json {
         out
     }
 
-    /// Compact serialization straight into a fresh shared buffer — the
-    /// offer-wall render path writes through [`BytesMut`] so the body
-    /// lands in an `ok_json` response without an intermediate `String`
-    /// copy.
+    /// Compact serialization straight into a fresh shared buffer, so
+    /// an `ok_json` body lands in its response without an intermediate
+    /// `String` copy.
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(64);
         self.write_bytes(&mut buf);
@@ -218,20 +217,7 @@ impl Json {
             Json::Bool(true) => out.write_str("true")?,
             Json::Bool(false) => out.write_str("false")?,
             Json::Int(i) => write!(out, "{i}")?,
-            Json::Float(f) => {
-                if f.is_finite() {
-                    // Ensure the literal re-parses as a float.
-                    let s = format!("{f}");
-                    out.write_str(&s)?;
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.write_str(".0")?;
-                    }
-                } else {
-                    // JSON has no Inf/NaN; emit null like serde_json's
-                    // lossy mode would refuse — we document the choice.
-                    out.write_str("null")?;
-                }
-            }
+            Json::Float(f) => write_float(out, *f)?,
             Json::Str(s) => write_escaped(out, s)?,
             Json::Array(items) => {
                 out.write_char('[')?;
@@ -300,23 +286,68 @@ fn newline_indent(out: &mut impl fmt::Write, indent: Option<usize>, level: usize
     Ok(())
 }
 
+/// Appends `s` to `out` as a quoted, escaped JSON string literal — the
+/// text `Json::Str(s)` serializes to. For writers that emit JSON
+/// without building a [`Json`] tree (the offer-wall renderer).
+pub fn push_string(out: &mut String, s: &str) {
+    write_escaped(out, s).expect("String never fails");
+}
+
+/// Appends `f` exactly as `Json::Float(f)` serializes.
+pub fn push_f64(out: &mut String, f: f64) {
+    write_float(out, f).expect("String never fails");
+}
+
+/// Appends `i` exactly as `Json::Int(i)` serializes.
+pub fn push_i64(out: &mut String, i: i64) {
+    write!(out, "{i}").expect("String never fails");
+}
+
+fn write_float(out: &mut impl fmt::Write, f: f64) -> fmt::Result {
+    if f.is_finite() {
+        // `{f}` never uses exponent notation, so it prints no '.'
+        // exactly when `f` is whole; add ".0" so the literal re-parses
+        // as a float.
+        write!(out, "{f}")?;
+        if f.fract() == 0.0 {
+            out.write_str(".0")?;
+        }
+        Ok(())
+    } else {
+        // JSON has no Inf/NaN; emit null like serde_json's lossy mode
+        // would refuse — we document the choice.
+        out.write_str("null")
+    }
+}
+
+/// Writes `s` quoted, copying each run of bytes that need no escape
+/// with one `write_str`. Every byte that needs an escape is ASCII, so
+/// run boundaries always fall on `char` boundaries.
 fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            '\u{08}' => out.write_str("\\b")?,
-            '\u{0C}' => out.write_str("\\f")?,
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32)?;
-            }
-            c => out.write_char(c)?,
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            // Other control characters: `\u00XX`, written below.
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        run = i + 1;
     }
+    out.write_str(&s[run..])?;
     out.write_char('"')
 }
 

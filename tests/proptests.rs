@@ -17,7 +17,10 @@ fn arb_json() -> impl Strategy<Value = Json> {
         any::<i64>().prop_map(Json::Int),
         // Finite floats only: JSON has no NaN/Inf.
         (-1e15f64..1e15).prop_map(Json::Float),
-        "[a-zA-Z0-9 _\\-\\.\"\\\\/\u{00e9}\u{20ac}]{0,20}".prop_map(Json::str),
+        // Whole floats: the serializer's ".0" suffix rule.
+        (-1_000_000i64..1_000_000).prop_map(|i| Json::Float(i as f64)),
+        // Control characters exercise every escape form.
+        "[a-zA-Z0-9 _\\-\\.\"\\\\/\u{00e9}\u{20ac}\u{0}-\u{1f}]{0,20}".prop_map(Json::str),
     ];
     leaf.prop_recursive(4, 64, 8, |inner| {
         prop_oneof![
@@ -26,6 +29,67 @@ fn arb_json() -> impl Strategy<Value = Json> {
                 .prop_map(|m| Json::Object(m.into_iter().collect())),
         ]
     })
+}
+
+/// Reference compact serializer: escapes one character at a time, and
+/// appends `.0` to a float literal that has no '.', 'e' or 'E'.
+fn reference_compact(value: &Json, out: &mut String) {
+    use std::fmt::Write;
+    match value {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Int(i) => write!(out, "{i}").unwrap(),
+        Json::Float(f) if f.is_finite() => {
+            let s = format!("{f}");
+            out.push_str(&s);
+            if !s.contains(['.', 'e', 'E']) {
+                out.push_str(".0");
+            }
+        }
+        Json::Float(_) => out.push_str("null"),
+        Json::Str(s) => reference_escape(s, out),
+        Json::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                reference_compact(item, out);
+            }
+            out.push(']');
+        }
+        Json::Object(map) => {
+            out.push('{');
+            for (i, (k, v)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                reference_escape(k, out);
+                out.push(':');
+                reference_compact(v, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn reference_escape(s: &str, out: &mut String) {
+    use std::fmt::Write;
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 proptest! {
@@ -37,6 +101,16 @@ proptest! {
         let pretty = value.pretty();
         let reparsed = Json::parse(&pretty).expect("pretty reparse");
         prop_assert!(json_eq(&value, &reparsed));
+    }
+
+    /// The serializers stay byte-equal to the per-character reference
+    /// below, escapes and float suffixes included.
+    #[test]
+    fn json_serializers_match_reference(value in arb_json()) {
+        let mut reference = String::new();
+        reference_compact(&value, &mut reference);
+        prop_assert_eq!(&value.to_string(), &reference);
+        prop_assert_eq!(&value.to_bytes()[..], reference.as_bytes());
     }
 
     #[test]
